@@ -115,7 +115,7 @@ func main() {
 		}
 	}()
 
-	server := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	server := newHTTPServer(*addr, srv.Handler())
 
 	// Graceful shutdown: Shutdown stops the listener and waits for in-flight
 	// requests; ListenAndServe then returns ErrServerClosed, and main waits
@@ -149,6 +149,34 @@ func main() {
 	<-done
 	// stopRetry runs via its defer on return, ending the reload-retry loop.
 	fmt.Println("partsrv: drained, exiting")
+}
+
+// Connection limits, so no client can pin a connection (and its goroutine)
+// by stalling: a request's header must arrive within readHeaderTimeout and
+// its whole body within readTimeout, and a keep-alive connection closes
+// after idleTimeout without a request. Queries answer in microseconds, but
+// POST /v1/reload rebuilds the snapshot inside the request - re-partitioning
+// the graph under -in - so writeTimeout leaves minutes for the response.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	writeTimeout      = 10 * time.Minute
+	idleTimeout       = 2 * time.Minute
+	maxHeaderBytes    = 16 << 10
+)
+
+// newHTTPServer returns the HTTP server partsrv listens with, carrying the
+// connection limits above.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
 }
 
 func layoutOptions(layout string, shards int) (repro.ServeOptions, error) {

@@ -188,3 +188,29 @@ func FuzzShardedVsFlat(f *testing.F) {
 		checkShardedVsFlat(t, n, k, shards, ops)
 	})
 }
+
+// TestShardGeometry pins the layout rule: shards clamp to n, spans cover
+// exactly [0, n), no shard is empty, and the result is idempotent (feeding
+// the effective count back yields the same layout), so a table Reset with
+// its own NumShards keeps its layout.
+func TestShardGeometry(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 7, 64, 100, 257, 1000} {
+		for _, req := range []int{0, 1, 2, 3, 7, 52, 64, 1000} {
+			eff, span := ShardGeometry(n, req)
+			if eff < 1 || span < 1 {
+				t.Fatalf("n=%d req=%d: eff=%d span=%d", n, req, eff, span)
+			}
+			if n > 0 {
+				if (eff-1)*span >= n || eff*span < n {
+					t.Fatalf("n=%d req=%d: %d shards of span %d do not tile [0,%d)", n, req, eff, span, n)
+				}
+				if eff > n {
+					t.Fatalf("n=%d req=%d: %d shards exceed vertex count", n, req, eff)
+				}
+			}
+			if eff2, span2 := ShardGeometry(n, eff); eff2 != eff || span2 != span {
+				t.Fatalf("n=%d req=%d: not idempotent: (%d,%d) -> (%d,%d)", n, req, eff, span, eff2, span2)
+			}
+		}
+	}
+}

@@ -17,14 +17,10 @@ func TestStateCanonicalAcrossLayouts(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 21))
 	for _, geo := range []struct{ n, k int }{{100, 4}, {257, 64}, {64, 65}} {
 		flat := NewReplicaSets(geo.n, geo.k)
-		deg := make([]uint32, geo.n)
 		for i := 0; i < geo.n*4; i++ {
-			v := graph.VertexID(rng.IntN(geo.n))
-			flat.Add(v, rng.IntN(geo.k))
-			deg[v]++
+			flat.Add(graph.VertexID(rng.IntN(geo.n)), rng.IntN(geo.k))
 		}
 		flatBytes := flat.AppendState(nil)
-		degBytes := AppendDegreeState(nil, deg)
 
 		for _, shards := range []int{1, 3, 8} {
 			shd := NewShardedReplicaSets(geo.n, geo.k, shards)
@@ -44,19 +40,6 @@ func TestStateCanonicalAcrossLayouts(t *testing.T) {
 				}
 			}
 
-			var sdeg ShardedDegrees
-			sdeg.Reset(geo.n, shards)
-			if rem, err := sdeg.LoadState(degBytes); err != nil || len(rem) != 0 {
-				t.Fatalf("degree load: rem %d, err %v", len(rem), err)
-			}
-			if got := sdeg.AppendState(nil); !bytes.Equal(got, degBytes) {
-				t.Fatalf("sharded degree bytes differ from flat")
-			}
-			for v := 0; v < geo.n; v++ {
-				if sdeg.Degree(graph.VertexID(v)) != deg[v] {
-					t.Fatalf("v=%d: degree %d, want %d", v, sdeg.Degree(graph.VertexID(v)), deg[v])
-				}
-			}
 		}
 
 		// Flat round trip through a fresh table.

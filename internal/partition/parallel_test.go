@@ -3,6 +3,7 @@ package partition
 import (
 	"fmt"
 	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/gen"
@@ -111,6 +112,28 @@ func TestParallelFallsBackWithoutSegmenter(t *testing.T) {
 		if fell[i] != serial[i] {
 			t.Fatalf("fallback diverges at edge %d", i)
 		}
+	}
+}
+
+// TestPipelineFallbackReported: the decode downgrade is recorded in
+// Result.Pipeline - a non-Segmenter source demotes decode workers to
+// serial - and a segmentable source records the resolved fleet and no
+// fallback.
+func TestPipelineFallbackReported(t *testing.T) {
+	g := gen.Web(gen.WebConfig{N: 500, OutDegree: 4, Seed: 65})
+	src := stream.Of(g.Edges).Source(g.NumVertices)
+
+	_, res := collectOutOfCore(t, &DBH{}, unsegmentable{src}, 4, OutOfCoreOptions{Workers: 8})
+	if res.Pipeline.DecodeWorkers != 1 {
+		t.Fatalf("fallback pipeline resolved to %+v, want serial decode", res.Pipeline)
+	}
+	if !strings.Contains(res.Pipeline.SerialFallback, "cannot segment") {
+		t.Fatalf("decode fallback not reported: %q", res.Pipeline.SerialFallback)
+	}
+
+	_, res = collectOutOfCore(t, &HDRF{}, src, 4, OutOfCoreOptions{Workers: 2})
+	if res.Pipeline.DecodeWorkers != 2 || res.Pipeline.SerialFallback != "" {
+		t.Fatalf("pipeline info %+v, want decode=2 and no fallback", res.Pipeline)
 	}
 }
 

@@ -9,13 +9,13 @@ import (
 
 // RebatchSource re-blocks any source into fixed-size batches: every
 // NextBlock returns exactly batchEdges edges (the final block carries the
-// remainder), whatever block shape the base source produces. It is the
-// batch-handoff seam of the gather -> score -> apply scoring pipeline
-// (partition package): the pipeline's per-batch gather tables are sized by
-// block, so blocks must be bounded - a natural-order in-memory view hands
-// out its whole edge slice as one zero-copy block - and batch boundaries
-// must sit at fixed stream offsets [b*B, (b+1)*B) for every decode
-// configuration, or assignments would shift with the upstream blocking.
+// remainder), whatever block shape the base source produces. Checkpointed
+// out-of-core runs (partition package) commit at these boundaries: blocks
+// must be bounded - a natural-order in-memory view hands out its whole edge
+// slice as one zero-copy block, which would leave no mid-stream snapshot
+// point - and batch boundaries must sit at fixed stream offsets
+// [b*B, (b+1)*B) for every decode configuration, so a resumed run lands on
+// the same offsets a clean run does.
 //
 // When the base block already covers the whole batch the batch is served as
 // a zero-copy sub-slice; otherwise edges are staged through an internal
