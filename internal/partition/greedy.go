@@ -27,7 +27,7 @@ import (
 // runs reuse the O(|V|·k/64) bitset.
 type Greedy struct {
 	rs      metrics.ReplicaSets
-	sizes   []int64
+	load    loadTracker
 	scratch []int32
 
 	// resume holds checkpoint state stashed by RestoreState until the next
@@ -46,7 +46,7 @@ type greedyResume struct {
 // sizes, Greedy's entire per-edge state, in the canonical encoding.
 func (gr *Greedy) SnapshotState(c *store.Checkpoint) error {
 	c.AddSection(sectionGreedyReplicas, gr.rs.AppendState(nil))
-	c.AddSection(sectionGreedySizes, metrics.AppendSizesState(nil, gr.sizes))
+	c.AddSection(sectionGreedySizes, metrics.AppendSizesState(nil, gr.load.sizes))
 	return nil
 }
 
@@ -85,7 +85,7 @@ func (gr *Greedy) consumeResume() error {
 	if err := consumed(rem, "greedy replica"); err != nil {
 		return err
 	}
-	copy(gr.sizes, r.sizes)
+	gr.load.load(r.sizes)
 	return nil
 }
 
@@ -117,16 +117,16 @@ func (gr *Greedy) PartitionStream(src stream.Source, k int, emit Emit) error {
 
 func (gr *Greedy) run(src stream.Source, k int, sink *assignSink) error {
 	gr.rs.Reset(src.NumVertices(), k)
-	gr.sizes = resetInt64(gr.sizes, k)
+	gr.load.reset(k)
 	if cap(gr.scratch) < k {
 		gr.scratch = make([]int32, 0, k)
 	}
-	rs, sizes, scratch := &gr.rs, gr.sizes, gr.scratch
 	if gr.resume != nil {
 		if err := gr.consumeResume(); err != nil {
 			return err
 		}
 	}
+	rs, lt, sizes, scratch := &gr.rs, &gr.load, gr.load.sizes, gr.scratch
 	return forEachBlock(src, func(blk []graph.Edge) error {
 		out := sink.grab(len(blk))
 		for j, e := range blk {
@@ -146,11 +146,11 @@ func (gr *Greedy) run(src stream.Source, k int, sink *assignSink) error {
 				case cv > 0:
 					p = leastLoaded(sizes, rs.Partitions(v, scratch[:0]))
 				default:
-					p = leastLoadedAll(sizes)
+					p = int32(lt.minP)
 				}
 			}
 			out[j] = p
-			sizes[p]++
+			lt.add(int(p))
 			rs.Add(u, int(p))
 			rs.Add(v, int(p))
 		}

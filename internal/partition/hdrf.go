@@ -1,6 +1,9 @@
 package partition
 
 import (
+	"fmt"
+	"math/bits"
+
 	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/store"
@@ -8,39 +11,51 @@ import (
 )
 
 // HDRF is High-Degree (are) Replicated First (Petroni et al., CIKM 2015),
-// the paper's state-of-the-art one-pass baseline. For each edge it scores
-// every partition with a replication term that prefers partitions already
-// holding an endpoint - weighted so the LOWER-degree endpoint counts more,
-// which steers cuts toward high-degree vertices - plus a balance term, and
-// picks the argmax:
+// the paper's state-of-the-art one-pass baseline. It places each edge on the
+// partition that maximizes a replication term, which prefers partitions
+// already holding an endpoint - weighted so the LOWER-degree endpoint counts
+// more, which steers cuts toward high-degree vertices - plus a balance term
+// (the lowest index wins ties):
 //
 //	theta(u)   = delta(u) / (delta(u)+delta(v))          (partial degrees)
 //	g(u,p)     = 1 + (1 - theta(u))  if p holds u, else 0
 //	C_rep(p)   = g(u,p) + g(v,p)
 //	C_bal(p)   = BalanceWeight * (maxsize - |p|) / (eps + maxsize - minsize)
 //
-// Like Greedy it keeps the full P(v) table and scans all k partitions per
-// edge, which is exactly the O(k) cost the runtime experiments (Figure 7)
-// show blowing up at large k.
+// Like Greedy it keeps the full P(v) table. Unlike the paper's k-wide scan,
+// which is the O(k) per-edge cost behind Figure 7, it finds the same argmax
+// in O(k/64 + |P(u)∪P(v)|): a partition holding neither endpoint scores
+// C_bal alone, which strictly decreases in |p| over the accepted
+// BalanceWeight range, so the best such partition is the lowest-index
+// least-loaded one, and scoring it plus P(u)∪P(v) covers every candidate.
 //
 // An HDRF value keeps its replica table, degree table and counters as
-// scratch reused across runs; the per-edge scoring loop is allocation-free
-// and loads each endpoint's replica bitset word once per 64 partitions
-// instead of once per partition.
+// scratch reused across runs; the per-edge scoring loop is allocation-free.
 type HDRF struct {
 	// BalanceWeight is the lambda of the HDRF paper (its default 1.1 keeps
 	// near-perfect balance; larger trades quality for balance). Zero means
-	// 1.1.
+	// 1.1; any other value outside [1e-100, 1e100] - negative, NaN, ±Inf or
+	// absurdly large or small - makes a run fail with an error.
 	BalanceWeight float64
 
-	rs    metrics.ReplicaSets
-	deg   []uint32
-	sizes []int64
+	rs   metrics.ReplicaSets
+	deg  []uint32
+	load loadTracker
 
 	// resume holds checkpoint state stashed by RestoreState until the next
 	// run consumes it right after its tables reset.
 	resume *hdrfResume
 }
+
+const (
+	defaultBalanceWeight = 1.1
+	// The accepted BalanceWeight range keeps C_bal strictly decreasing in
+	// |p| for any partition size below 2^52: lambda*(maxsize-|p|) neither
+	// overflows nor, divided by eps+spread, underflows into ties. The
+	// candidates-plus-minP argmax is exact only under that condition.
+	minBalanceWeight = 1e-100
+	maxBalanceWeight = 1e100
+)
 
 // hdrfResume is the stashed checkpoint state of an HDRF run, in the
 // canonical encodings of metrics/state.go.
@@ -52,12 +67,12 @@ type hdrfResume struct {
 
 // SnapshotState implements Checkpointer: the replica table, partial-degree
 // table and partition sizes - everything the per-edge loop reads - in the
-// canonical vertex-major encoding. maxSize/minSize are not stored: they are
-// always exactly the extrema of the sizes, so restore recomputes them.
+// canonical vertex-major encoding. The size extrema and minP are not
+// stored: they are functions of the sizes, so restore recomputes them.
 func (h *HDRF) SnapshotState(c *store.Checkpoint) error {
 	c.AddSection(sectionHDRFReplicas, h.rs.AppendState(nil))
 	c.AddSection(sectionHDRFDegrees, metrics.AppendDegreeState(nil, h.deg))
-	c.AddSection(sectionHDRFSizes, metrics.AppendSizesState(nil, h.sizes))
+	c.AddSection(sectionHDRFSizes, metrics.AppendSizesState(nil, h.load.sizes))
 	return nil
 }
 
@@ -89,41 +104,26 @@ func (h *HDRF) RestoreState(c *store.Checkpoint) error {
 }
 
 // consumeResume loads the stashed checkpoint state into the just-reset
-// tables and returns the recomputed size extrema.
-func (h *HDRF) consumeResume() (maxSize, minSize int64, err error) {
+// tables.
+func (h *HDRF) consumeResume() error {
 	r := h.resume
 	h.resume = nil
 	rem, err := h.rs.LoadState(r.replicas)
 	if err != nil {
-		return 0, 0, err
+		return err
 	}
 	if err := consumed(rem, "hdrf replica"); err != nil {
-		return 0, 0, err
+		return err
 	}
 	rem, err = metrics.LoadDegreeState(h.deg, r.degrees)
 	if err != nil {
-		return 0, 0, err
+		return err
 	}
 	if err := consumed(rem, "hdrf degree"); err != nil {
-		return 0, 0, err
+		return err
 	}
-	copy(h.sizes, r.sizes)
-	maxSize, minSize = sizeExtrema(h.sizes)
-	return maxSize, minSize, nil
-}
-
-// sizeExtrema returns max and min of sizes (which is never empty: k >= 1).
-func sizeExtrema(sizes []int64) (maxSize, minSize int64) {
-	maxSize, minSize = sizes[0], sizes[0]
-	for _, s := range sizes[1:] {
-		if s > maxSize {
-			maxSize = s
-		}
-		if s < minSize {
-			minSize = s
-		}
-	}
-	return maxSize, minSize
+	h.load.load(r.sizes)
+	return nil
 }
 
 // Name implements Partitioner.
@@ -156,23 +156,27 @@ func (h *HDRF) PartitionStream(src stream.Source, k int, emit Emit) error {
 func (h *HDRF) run(src stream.Source, k int, sink *assignSink) error {
 	lam := h.BalanceWeight
 	if lam == 0 {
-		lam = 1.1
+		lam = defaultBalanceWeight
+	}
+	if !(lam >= minBalanceWeight && lam <= maxBalanceWeight) {
+		return fmt.Errorf("partition: HDRF balance weight %v outside [%g, %g] (0 selects %v)",
+			h.BalanceWeight, minBalanceWeight, maxBalanceWeight, defaultBalanceWeight)
 	}
 	const eps = 1.0
 	h.rs.Reset(src.NumVertices(), k)
 	h.deg = resetUint32(h.deg, src.NumVertices())
-	h.sizes = resetInt64(h.sizes, k)
-	rs, deg, sizes := &h.rs, h.deg, h.sizes
-	var maxSize, minSize int64
+	h.load.reset(k)
 	if h.resume != nil {
-		var err error
-		if maxSize, minSize, err = h.consumeResume(); err != nil {
+		if err := h.consumeResume(); err != nil {
 			return err
 		}
 	}
+	rs, deg, lt := &h.rs, h.deg, &h.load
+	words := rs.Words()
 
 	return forEachBlock(src, func(blk []graph.Edge) error {
 		out := sink.grab(len(blk))
+		sizes := lt.sizes
 		for j, e := range blk {
 			u, v := e.Src, e.Dst
 			deg[u]++
@@ -183,48 +187,35 @@ func (h *HDRF) run(src stream.Source, k int, sink *assignSink) error {
 			gU := 1 + (1 - thetaU)
 			gV := 1 + (1 - thetaV)
 
-			spread := float64(maxSize - minSize)
-			best := 0
-			bestScore := -1.0
-			// One replica-bitset word covers 64 partitions; load each word of
-			// u's and v's sets once instead of testing bit-by-bit through Has.
-			var wu, wv uint64
-			for p := 0; p < k; p++ {
-				if p&63 == 0 {
-					wu = rs.Word(u, p>>6)
-					wv = rs.Word(v, p>>6)
-				}
-				bit := uint64(1) << uint(p&63)
-				var crep float64
-				if wu&bit != 0 {
-					crep += gU
-				}
-				if wv&bit != 0 {
-					crep += gV
-				}
-				cbal := lam * float64(maxSize-sizes[p]) / (eps + spread)
-				if score := crep + cbal; score > bestScore {
-					bestScore = score
-					best = p
-				}
-			}
-			out[j] = int32(best)
-			sizes[best]++
-			rs.Add(u, best)
-			rs.Add(v, best)
-			if sizes[best] > maxSize {
-				maxSize = sizes[best]
-			}
-			// minSize only changes when the previous minimum partition grew;
-			// rescan lazily in that case.
-			if sizes[best]-1 == minSize {
-				minSize = sizes[0]
-				for p := 1; p < k; p++ {
-					if sizes[p] < minSize {
-						minSize = sizes[p]
+			maxSize, minSize := lt.maxSize, lt.minSize
+			den := eps + float64(maxSize-minSize)
+			// Start from the best partition holding neither endpoint (see
+			// the type comment), then score the partitions in P(u)∪P(v);
+			// ties go to the lower index, as in a scan of all k.
+			best, bestScore := lt.minP, lam*float64(maxSize-minSize)/den
+			for w := 0; w < words; w++ {
+				wu, wv := rs.Word(u, w), rs.Word(v, w)
+				for m := wu | wv; m != 0; m &= m - 1 {
+					bit := m & -m
+					p := w<<6 | bits.TrailingZeros64(m)
+					var crep float64
+					if wu&bit != 0 {
+						crep += gU
+					}
+					if wv&bit != 0 {
+						crep += gV
+					}
+					cbal := lam * float64(maxSize-sizes[p]) / den
+					if score := crep + cbal; score > bestScore || score == bestScore && p < best {
+						bestScore = score
+						best = p
 					}
 				}
 			}
+			out[j] = int32(best)
+			lt.add(best)
+			rs.Add(u, best)
+			rs.Add(v, best)
 		}
 		return sink.commit(blk, out)
 	})

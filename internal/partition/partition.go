@@ -19,6 +19,7 @@ package partition
 import (
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"repro/internal/graph"
@@ -506,7 +507,62 @@ func leastLoaded(sizes []int64, candidates []int32) int32 {
 	return best
 }
 
-// leastLoadedAll returns the globally least-loaded partition.
+// loadTracker holds the partition sizes of a one-pass heuristic together
+// with their extrema and minP, the lowest-index partition of minimum size
+// (what leastLoadedAll would return), all kept current in amortized O(1)
+// per edge. Sizes only ever grow by one: when minP grows, the next
+// partition at minSize lies after it, so a forward scan finds it; when none
+// is left, minSize rises by one and a scan from 0 finds the new minP. Each
+// size level therefore costs O(k) scanning in total, and a stream of |E|
+// edges climbs about |E|/k levels.
+type loadTracker struct {
+	sizes            []int64
+	minP             int
+	minSize, maxSize int64
+}
+
+// reset zeroes the tracker for k partitions, reusing its storage.
+func (t *loadTracker) reset(k int) {
+	t.sizes = resetInt64(t.sizes, k)
+	t.minP, t.minSize, t.maxSize = 0, 0, 0
+}
+
+// load replaces the sizes with restored ones (len(sizes) == k) and
+// recomputes the extrema and minP from them.
+func (t *loadTracker) load(sizes []int64) {
+	copy(t.sizes, sizes)
+	t.minP = int(leastLoadedAll(t.sizes))
+	t.minSize, t.maxSize = t.sizes[t.minP], slices.Max(t.sizes)
+}
+
+// add records one more edge on partition p.
+func (t *loadTracker) add(p int) {
+	t.sizes[p]++
+	t.maxSize = max(t.maxSize, t.sizes[p])
+	if p == t.minP {
+		t.advance()
+	}
+}
+
+// advance moves minP on after it grew past minSize.
+func (t *loadTracker) advance() {
+	for q := t.minP + 1; q < len(t.sizes); q++ {
+		if t.sizes[q] == t.minSize {
+			t.minP = q
+			return
+		}
+	}
+	t.minSize++
+	for q, s := range t.sizes {
+		if s == t.minSize {
+			t.minP = q
+			return
+		}
+	}
+}
+
+// leastLoadedAll returns the globally least-loaded partition (ties to the
+// lowest index).
 func leastLoadedAll(sizes []int64) int32 {
 	best := int32(0)
 	for p := int32(1); p < int32(len(sizes)); p++ {

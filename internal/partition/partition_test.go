@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -259,6 +260,36 @@ func TestHDRFBalance(t *testing.T) {
 	}
 	if res.Quality.RelativeBalance > 1.25 {
 		t.Fatalf("HDRF balance %v too loose", res.Quality.RelativeBalance)
+	}
+}
+
+// TestHDRFRejectsBadBalanceWeight: a lambda outside the range where the
+// balance term strictly decreases in |p| is an error from both entry
+// points, not a silently nonsensical partitioner; the bounds themselves
+// are accepted.
+func TestHDRFRejectsBadBalanceWeight(t *testing.T) {
+	g := webGraph(100, 1)
+	src := stream.Of(g.Edges).Source(g.NumVertices)
+	for name, lam := range map[string]float64{
+		"negative":  -1.1,
+		"NaN":       math.NaN(),
+		"+Inf":      math.Inf(1),
+		"-Inf":      math.Inf(-1),
+		"too-large": 1e300,
+		"too-small": 1e-300,
+	} {
+		h := &HDRF{BalanceWeight: lam}
+		if err := h.PartitionInto(src, 4, make([]int32, src.Len())); err == nil {
+			t.Errorf("%s (%v): PartitionInto accepted it", name, lam)
+		}
+		if err := h.PartitionStream(src, 4, func([]graph.Edge, []int32) error { return nil }); err == nil {
+			t.Errorf("%s (%v): PartitionStream accepted it", name, lam)
+		}
+	}
+	for _, lam := range []float64{minBalanceWeight, maxBalanceWeight} {
+		if _, err := (&HDRF{BalanceWeight: lam}).Partition(src, 4); err != nil {
+			t.Errorf("lambda %v rejected: %v", lam, err)
+		}
 	}
 }
 

@@ -2,10 +2,12 @@ package partition
 
 import (
 	"fmt"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/store"
 	"repro/internal/stream"
 )
 
@@ -106,8 +108,9 @@ func refHold(holds map[graph.VertexID]map[int]bool, v graph.VertexID, p int) {
 
 // referenceGraphs are small seeded graphs covering the shapes where the
 // production loops' shortcuts could diverge from the paper's definition:
-// self-loops, duplicate edges, a hub, no edges at all, and a web graph
-// with skewed degrees.
+// self-loops, duplicate edges, a hub, no edges at all, and web graphs with
+// skewed degrees - the larger one with |E| far above every k tested, so the
+// minimum partition size climbs through dozens of levels.
 func referenceGraphs() map[string]*graph.Graph {
 	rng := newTestRNG(71)
 	multi := make([]graph.Edge, 0, 600)
@@ -131,12 +134,14 @@ func referenceGraphs() map[string]*graph.Graph {
 		"star":       graph.New(120, spokes),
 		"empty":      graph.New(5, nil),
 		"web":        gen.Web(gen.WebConfig{N: 400, OutDegree: 5, IntraSite: 0.8, Seed: 72}),
+		"web-large":  gen.Web(gen.WebConfig{N: 2000, OutDegree: 6, IntraSite: 0.8, Seed: 73}),
 	}
 }
 
 // referenceKs spans k=1, the 64-bit word boundary of the replica bitsets
-// (64, 65, 128), and k > |E| on the hand-written graphs.
-var referenceKs = []int{1, 2, 7, 64, 65, 128}
+// (64, 65, 128), the benchmark's k=256, and k > |E| on the hand-written
+// graphs.
+var referenceKs = []int{1, 2, 7, 64, 65, 128, 256}
 
 func checkAgainstReference(t *testing.T, name string, p Partitioner, ref func([]graph.Edge, int) []int32) {
 	t.Helper()
@@ -161,11 +166,13 @@ func checkAgainstReference(t *testing.T, name string, p Partitioner, ref func([]
 	}
 }
 
-// TestHDRFMatchesReference: HDRF's word-at-a-time scoring loop with its
-// incrementally tracked size extrema agrees edge for edge with refHDRF,
-// at the default lambda and a heavier balance weight.
+// TestHDRFMatchesReference: HDRF's candidates-plus-minP best response with
+// its incrementally tracked sizes agrees edge for edge with refHDRF's scan
+// of all k partitions, from a replication-dominated lambda (ties between
+// partitions holding no endpoint decided by size alone) through the
+// default to a balance-dominated one.
 func TestHDRFMatchesReference(t *testing.T) {
-	for _, lambda := range []float64{1.1, 3} {
+	for _, lambda := range []float64{1e-3, 1.1, 3, 100} {
 		h := &HDRF{BalanceWeight: lambda}
 		checkAgainstReference(t, fmt.Sprintf("HDRF(lambda=%v)", lambda), h, func(edges []graph.Edge, k int) []int32 {
 			return refHDRF(edges, k, lambda)
@@ -177,4 +184,58 @@ func TestHDRFMatchesReference(t *testing.T) {
 // edge for edge with refGreedy.
 func TestGreedyMatchesReference(t *testing.T) {
 	checkAgainstReference(t, "Greedy", &Greedy{}, refGreedy)
+}
+
+// TestReferenceResumeMidLevel kills HDRF and Greedy runs at k=256 at a
+// checkpoint where the partition sizes are partway through a level - the
+// least-loaded partition is not partition 0 - and requires the resumed
+// run, which rebuilds its size tracking from the checkpoint, to agree edge
+// for edge with the uninterrupted reference.
+func TestReferenceResumeMidLevel(t *testing.T) {
+	g := checkpointTestGraph()
+	const k = 256
+	for name, ref := range map[string]func([]graph.Edge, int) []int32{
+		"HDRF":   func(edges []graph.Edge, k int) []int32 { return refHDRF(edges, k, 1.1) },
+		"Greedy": refGreedy,
+	} {
+		t.Run(name, func(t *testing.T) {
+			want := ref(g.Edges, k)
+			ckPath := filepath.Join(t.TempDir(), "run.cpk")
+			crashP, err := New(name, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			crashed := runUntilCrash(t, crashP, g, k, OutOfCoreOptions{
+				Checkpoint: &CheckpointOptions{Path: ckPath, EveryEdges: ckCadence}}, ckCrashAt)
+			c, _, err := store.LoadCheckpoint(ckPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			sizes := make([]int64, k)
+			for _, p := range want[:c.Offset] {
+				sizes[p]++
+			}
+			minP := 0
+			for p, s := range sizes {
+				if s < sizes[minP] {
+					minP = p
+				}
+			}
+			if minP == 0 {
+				t.Fatalf("checkpoint at %d is at the start of a size level (sizes[0]=%d is minimal); the test needs minP != 0", c.Offset, sizes[0])
+			}
+
+			resumed, _ := resumeFrom(t, name, g, k, c, ckPath, OutOfCoreOptions{})
+			got := append(append([]int32(nil), crashed[:c.Offset]...), resumed...)
+			if len(got) != len(want) {
+				t.Fatalf("prefix+resume covers %d edges, reference %d", len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("edge %d placed on %d after resume at %d (minP %d), reference %d", i, got[i], c.Offset, minP, want[i])
+				}
+			}
+		})
+	}
 }
