@@ -20,6 +20,7 @@ package game
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -35,6 +36,7 @@ type Config struct {
 	// Lambda is the normalization factor of Equation 10/11. Zero selects
 	// the paper's default: the maximum of the valid range from Theorem 5,
 	// k^2 * sum_i |e(ci,V\ci)| / (sum_i |ci|)^2, computed per batch.
+	// Negative, NaN and infinite values are errors.
 	Lambda float64
 	// RelWeight is the relative weight of the load-balancing term versus
 	// the edge-cutting term (Figure 11b). 0.5 (the default when zero)
@@ -100,6 +102,9 @@ func Solve(cg *cluster.Graph, cfg Config) (*Assignment, error) {
 	}
 	if cfg.RelWeight <= 0 || cfg.RelWeight >= 1 {
 		return nil, fmt.Errorf("game: RelWeight must lie in (0,1), got %v", cfg.RelWeight)
+	}
+	if !(cfg.Lambda >= 0) || math.IsInf(cfg.Lambda, 1) {
+		return nil, fmt.Errorf("game: Lambda must be finite and >= 0, got %v", cfg.Lambda)
 	}
 	m := cg.NumClusters
 	out := &Assignment{Partition: make([]int32, m)}
@@ -171,6 +176,7 @@ type scratch struct {
 	load    []int64   // per-partition load
 	wTo     []float64 // arc weight toward each partition
 	touched []int32   // partitions with non-zero wTo
+	tree    loadTree  // least-loaded partitions of load
 }
 
 func (sc *scratch) reset(n, k int) {
@@ -185,7 +191,12 @@ func (sc *scratch) reset(n, k int) {
 	if cap(sc.load) < k {
 		sc.load = make([]int64, k)
 		sc.wTo = make([]float64, k)
-		sc.touched = make([]int32, 0, k)
+		// touched and the tree's nodes share one allocation. touched holds
+		// each partition at most once (arc weights are positive), so its
+		// capacity of k is never exceeded.
+		buf := make([]int32, k+2*leaves(k))
+		sc.touched = buf[:0:k]
+		sc.tree.node = buf[k:]
 	}
 	sc.load = sc.load[:k]
 	sc.wTo = sc.wTo[:k]
@@ -231,17 +242,7 @@ func batchPotential(cg *cluster.Graph, out []int32, cfg Config, lo, hi int, load
 	k := cfg.K
 	lambda := cfg.Lambda
 	if lambda == 0 {
-		var sumW, inter int64
-		for c := lo; c < hi; c++ {
-			sumW += cg.WeightOf(cluster.ID(c))
-			inter += cg.TotalAdjacency(cluster.ID(c))
-		}
-		inter /= 2
-		if sumW > 0 {
-			lambda = float64(k*k) * float64(inter) / (float64(sumW) * float64(sumW))
-		} else {
-			lambda = 1
-		}
+		lambda = batchLambda(cg, k, lo, hi)
 	}
 	loads = loads[:k]
 	for i := range loads {
@@ -270,10 +271,36 @@ func batchPotential(cg *cluster.Graph, out []int32, cfg Config, lo, hi int, load
 	return lambda/(2*float64(k))*loadSq + cut/2
 }
 
+// batchLambda is the default lambda of the batch [lo,hi): Theorem 5's upper
+// bound on the weight scale, k^2 * (directed inter edges) / (sum of
+// weights)^2, or 1 for a batch without weight. TotalAdjacency counts both
+// directions, so summing it over the batch counts each directed cut edge
+// twice; arcs leaving the batch count too, keeping lambda on the paper's
+// scale.
+func batchLambda(cg *cluster.Graph, k, lo, hi int) float64 {
+	var sumW, inter int64
+	for c := lo; c < hi; c++ {
+		sumW += cg.WeightOf(cluster.ID(c))
+		inter += cg.TotalAdjacency(cluster.ID(c))
+	}
+	inter /= 2
+	if sumW == 0 {
+		return 1
+	}
+	return float64(k*k) * float64(inter) / (float64(sumW) * float64(sumW))
+}
+
 // playBatch runs sequential best-response dynamics over clusters [lo,hi),
 // writing final choices into out (batch-local: out[c-lo] is cluster c's
 // partition). It only reads cg and its own range, so batches are data-race
 // free; all buffers come from the worker's scratch.
+//
+// A cluster's best response is found among cur, the partitions of its
+// in-batch neighbours (touched) and m, the least-loaded partition other than
+// cur. Any other partition has no arc from the cluster, so its cost is
+// non-decreasing in its load and none beats m. The best other partition is
+// the argmin of (cost, load, index), and the cluster moves there only if
+// that costs more than 1e-9 less than staying; see DESIGN.md.
 func playBatch(cg *cluster.Graph, cfg Config, lo, hi int, out []int32, sc *scratch) (rounds int, moves int64) {
 	k := cfg.K
 	rng := xrand.New(cfg.Seed ^ (0x9e3779b97f4a7c15 * uint64(lo+1)))
@@ -298,25 +325,12 @@ func playBatch(cg *cluster.Graph, cfg Config, lo, hi int, out []int32, sc *scrat
 		load[p] += size[c-lo]
 	}
 
-	// Batch-local lambda default (Theorem 5 upper bound, on the weight
-	// scale): k^2 * (directed inter edges) / (sum of weights)^2.
+	tree := &sc.tree
+	tree.build(load)
+
 	lambda := cfg.Lambda
 	if lambda == 0 {
-		var sumW, sumInterDirected int64
-		for c := lo; c < hi; c++ {
-			sumW += size[c-lo]
-			// TotalAdjacency counts both directions; summing it over
-			// clusters counts each directed cut edge twice, so the directed
-			// total sum_i |e(ci,V\ci)| is half of it. Arcs leaving the
-			// batch contribute too, keeping lambda on the paper's scale.
-			sumInterDirected += cg.TotalAdjacency(cluster.ID(c))
-		}
-		sumInterDirected /= 2
-		if sumW > 0 {
-			lambda = float64(k*k) * float64(sumInterDirected) / (float64(sumW) * float64(sumW))
-		} else {
-			lambda = 1
-		}
+		lambda = batchLambda(cg, k, lo, hi)
 	}
 	wLoad := 2 * cfg.RelWeight * lambda / float64(k)
 	wCut := 2 * (1 - cfg.RelWeight) * 0.5
@@ -350,21 +364,27 @@ func playBatch(cg *cluster.Graph, cfg Config, lo, hi int, out []int32, sc *scrat
 				totalW += float64(a.W)
 			}
 
-			best := cur
-			bestCost := wLoad*sz*float64(load[cur]) + wCut*(totalW-wTo[cur])
-			for p := int32(0); p < int32(k); p++ {
-				if p == cur {
+			// Best other partition by (cost, load, index): m, the
+			// least-loaded partition other than cur, then every touched one.
+			best := tree.minExcept(cur)
+			var bestCost float64
+			if best >= 0 {
+				bestCost = wLoad*sz*float64(load[best]+size[c-lo]) + wCut*(totalW-wTo[best])
+			}
+			for _, p := range touched {
+				if p == cur || p == best {
 					continue
 				}
 				cost := wLoad*sz*float64(load[p]+size[c-lo]) + wCut*(totalW-wTo[p])
-				if cost < bestCost-1e-9 {
-					bestCost = cost
-					best = p
+				if cost < bestCost || cost == bestCost && (load[p] < load[best] || load[p] == load[best] && p < best) {
+					best, bestCost = p, cost
 				}
 			}
-			if best != cur {
+			if best >= 0 && bestCost < wLoad*sz*float64(load[cur])+wCut*(totalW-wTo[cur])-1e-9 {
 				load[cur] -= size[c-lo]
 				load[best] += size[c-lo]
+				tree.update(cur)
+				tree.update(best)
 				out[c-lo] = best
 				moves++
 				changed = true
@@ -399,15 +419,13 @@ func GreedyAssign(cg *cluster.Graph, k int) *Assignment {
 	}
 	sortBySizeDesc(order, size)
 	load := make([]int64, k)
+	var tree loadTree
+	tree.build(load)
 	for _, c := range order {
-		best := 0
-		for p := 1; p < k; p++ {
-			if load[p] < load[best] {
-				best = p
-			}
-		}
-		out.Partition[c] = int32(best)
+		best := tree.min()
+		out.Partition[c] = best
 		load[best] += size[c]
+		tree.update(best)
 	}
 	return out
 }
@@ -449,5 +467,82 @@ func sortBySizeDesc(order []int32, size []int64) {
 			}
 		}
 		copy(order, tmp)
+	}
+}
+
+// loadTree is a tournament tree over per-partition loads. Leaves sit at
+// [n, n+k) with n = pow2(k), padding leaves hold -1, and every inner node
+// holds the lowest-index least-loaded partition of its subtree, so the root
+// is the global one. Rebuild it whenever load is rewritten wholesale, and
+// call update(p) after each change of load[p].
+type loadTree struct {
+	node []int32
+	n    int
+	load []int64
+}
+
+// leaves is the tree's leaf count for k partitions: the least power of two
+// >= k.
+func leaves(k int) int {
+	n := 1
+	for n < k {
+		n *= 2
+	}
+	return n
+}
+
+func (t *loadTree) build(load []int64) {
+	n := leaves(len(load))
+	if cap(t.node) < 2*n {
+		t.node = make([]int32, 2*n)
+	}
+	t.node = t.node[:2*n]
+	t.n = n
+	t.load = load
+	for i := 0; i < n; i++ {
+		t.node[n+i] = -1
+		if i < len(load) {
+			t.node[n+i] = int32(i)
+		}
+	}
+	for i := n - 1; i >= 1; i-- {
+		t.node[i] = t.pick(t.node[2*i], t.node[2*i+1])
+	}
+}
+
+// pick returns whichever of partitions a and b has the lower load, the
+// lower index on equal loads; -1 stands for no partition.
+func (t *loadTree) pick(a, b int32) int32 {
+	if a < 0 {
+		return b
+	}
+	if b < 0 {
+		return a
+	}
+	if t.load[b] < t.load[a] || t.load[b] == t.load[a] && b < a {
+		return b
+	}
+	return a
+}
+
+// min returns the lowest-index least-loaded partition.
+func (t *loadTree) min() int32 { return t.node[1] }
+
+// minExcept returns the lowest-index least-loaded partition other than cur,
+// or -1 if cur is the only partition. The siblings of cur's leaf-to-root
+// path cover every other leaf exactly once.
+func (t *loadTree) minExcept(cur int32) int32 {
+	best := int32(-1)
+	for i := t.n + int(cur); i > 1; i /= 2 {
+		best = t.pick(best, t.node[i^1])
+	}
+	return best
+}
+
+// update restores the winners on p's leaf-to-root path after load[p]
+// changed.
+func (t *loadTree) update(p int32) {
+	for i := (t.n + int(p)) / 2; i >= 1; i /= 2 {
+		t.node[i] = t.pick(t.node[2*i], t.node[2*i+1])
 	}
 }

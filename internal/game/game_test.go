@@ -59,6 +59,13 @@ func TestSolveRejectsBadConfig(t *testing.T) {
 	if _, err := Solve(cg, Config{K: 4, RelWeight: 1.5}); err == nil {
 		t.Fatal("RelWeight=1.5 accepted")
 	}
+	// The best response only scores the least-loaded untouched partition,
+	// which is exact only while the load term's weight is non-negative.
+	for _, lambda := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := Solve(cg, Config{K: 4, Lambda: lambda}); err == nil {
+			t.Fatalf("Lambda=%v accepted", lambda)
+		}
+	}
 }
 
 func TestSolveEmptyGraph(t *testing.T) {
